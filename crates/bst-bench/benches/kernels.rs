@@ -1,26 +1,16 @@
 //! Criterion benches of the tile GEMM kernels — the compute substrate the
-//! simulated GPU executors run on. Measures the naive / blocked / parallel
-//! kernels across the tile shapes the paper cares about (small irregular
-//! tiles up to the ~728-edge "peak" tile).
+//! simulated GPU executors run on. Measures the naive / blocked kernels and
+//! every SIMD tier the host supports across the tile shapes the paper
+//! cares about (small irregular tiles up to the ~728-edge "peak" tile).
 
-use bst_tile::gemm::{
-    gemm_blocked, gemm_naive, gemm_packed, gemm_packed_4x8, gemm_packed_8x4, gemm_packed_8x8,
-    gemm_parallel,
-};
-use bst_tile::kernel::select_heuristic;
+use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_simd_on, Isa};
+use bst_tile::kernel::{select_heuristic, GemmFn};
 use bst_tile::Tile;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_kernels(c: &mut Criterion) {
-    let variants: [(&str, fn(f64, &Tile, &Tile, &mut Tile)); 7] = [
-        ("naive", gemm_naive),
-        ("blocked", gemm_blocked),
-        ("packed4x4", gemm_packed),
-        ("packed8x4", gemm_packed_8x4),
-        ("packed4x8", gemm_packed_4x8),
-        ("packed8x8", gemm_packed_8x8),
-        ("parallel", gemm_parallel),
-    ];
+    let variants: [(&str, GemmFn); 2] = [("naive", gemm_naive), ("blocked", gemm_blocked)];
+    let tiers: Vec<Isa> = Isa::ALL.into_iter().filter(|isa| isa.supported()).collect();
     let mut group = c.benchmark_group("tile_gemm");
     for &edge in &[32usize, 64, 128, 256] {
         let a = Tile::random(edge, edge, 1);
@@ -31,6 +21,13 @@ fn bench_kernels(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(name, edge), &edge, |bench, _| {
                 let mut out = Tile::zeros(edge, edge);
                 bench.iter(|| kernel(1.0, &a, &b, &mut out));
+            });
+        }
+        for &isa in &tiers {
+            let id = BenchmarkId::new(format!("simd-{}", isa.name()), edge);
+            group.bench_with_input(id, &edge, |bench, _| {
+                let mut out = Tile::zeros(edge, edge);
+                bench.iter(|| gemm_simd_on(isa, 1.0, &a, &b, &mut out));
             });
         }
         // The dispatch path the executor takes: shape rule + kernel call.
@@ -53,6 +50,14 @@ fn bench_kernels(c: &mut Criterion) {
             |bench, _| {
                 let mut out = Tile::zeros(m, n);
                 bench.iter(|| gemm_blocked(1.0, &a, &b, &mut out));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("dispatch", format!("{m}x{n}x{k}")),
+            &m,
+            |bench, _| {
+                let mut out = Tile::zeros(m, n);
+                bench.iter(|| select_heuristic(m, n, k).run(1.0, &a, &b, &mut out));
             },
         );
     }

@@ -25,7 +25,7 @@ fn stationary_c_best_p(
 ) -> (usize, bst_sim::stationary::StationaryCReport) {
     let mut best: Option<(usize, bst_sim::stationary::StationaryCReport)> = None;
     for p in 1..=platform.nodes {
-        if platform.nodes % p != 0 {
+        if !platform.nodes.is_multiple_of(p) {
             continue;
         }
         let config = PlannerConfig::paper(

@@ -8,14 +8,13 @@
 //!
 //! 1. builds a synthetic contraction and takes the *plan-derived* GEMM
 //!    shape histogram (the exact `(m, n, k)` mix the executor would run);
-//! 2. for the heaviest shapes, checks every candidate kernel against
-//!    `gemm_naive` to 1e-10 (any divergence exits non-zero — this is the
-//!    same bar as the property tests, but on the real shapes);
-//! 3. measures each candidate's flop rate through the cache-cold operand
-//!    ring used by the autotuner, and records the measured winner;
-//! 4. runs the one-shot autotuner on the full histogram and records its
-//!    per-shape-class choices;
-//! 5. writes everything as JSON and re-parses the document with
+//! 2. for the heaviest shapes, checks every kernel against `gemm_naive` to
+//!    1e-10 (any divergence exits non-zero — this is the same bar as the
+//!    property tests, but on the real shapes);
+//! 3. measures each kernel's flop rate through the cache-cold operand ring
+//!    of `measure_gflops`, and records the measured winner;
+//! 4. writes everything as JSON, with the SIMD kernel's detected ISA tier,
+//!    and re-parses the document with
 //!    [`bst_bench::minijson`] — a malformed file also exits non-zero, so
 //!    CI can gate on this binary end to end.
 //!
@@ -29,15 +28,14 @@ use bst_contract::{
     DeviceConfig, ExecutionPlan, GridConfig, PlannerConfig, ProblemSpec,
 };
 use bst_sparse::generate::{generate, SyntheticParams};
-use bst_tile::gemm::{gemm_flops, gemm_naive};
-use bst_tile::kernel::{candidates, measure_gflops, KernelKind, KernelTable};
+use bst_tile::gemm::{gemm_flops, gemm_naive, Isa};
+use bst_tile::kernel::{measure_gflops, KernelKind};
 use bst_tile::Tile;
 use std::fmt::Write as _;
 
 const USAGE: &str = "usage: repro_kernels [--tiny] [--out FILE]";
 
-/// Shapes benchmarked in full (the heaviest by total flops; the histogram
-/// tail only feeds the autotuner).
+/// Shapes benchmarked in full (the heaviest by total flops).
 const MAX_SHAPES: usize = 8;
 
 fn main() {
@@ -93,24 +91,24 @@ fn main() {
     weighted.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
     weighted.truncate(MAX_SHAPES);
 
+    let isa = Isa::detected();
     println!(
-        "# kernel micro-benchmark — {} distinct shapes in plan, benchmarking top {}",
+        "# kernel micro-benchmark — {} distinct shapes in plan, benchmarking top {} (simd tier: {})",
         hist.len(),
-        weighted.len()
+        weighted.len(),
+        isa.name()
     );
 
     let mut shapes_json = String::new();
     for (si, &((m, n, k), count, _)) in weighted.iter().enumerate() {
-        let cands = candidates(m, n, k);
-
-        // Correctness gate: every candidate must agree with the naive
-        // triple loop on this exact shape.
+        // Correctness gate: every kernel must agree with the naive triple
+        // loop on this exact shape.
         let a = Tile::random(m, k, 0xA0 + si as u64);
         let b = Tile::random(k, n, 0xB0 + si as u64);
         let c0 = Tile::random(m, n, 0xC0 + si as u64);
         let mut c_ref = c0.clone();
         gemm_naive(1.0, &a, &b, &mut c_ref);
-        for &kind in &cands {
+        for kind in KernelKind::ALL {
             let mut c = c0.clone();
             kind.run(1.0, &a, &b, &mut c);
             let diff = c.max_abs_diff(&c_ref);
@@ -125,13 +123,7 @@ fn main() {
 
         // Flop rates through the cache-cold ring (the executor streams
         // distinct operand tiles, so a hot single-pair loop would lie).
-        // Naive is always measured — it is the reference the others are
-        // judged against, even where it is no dispatch candidate.
-        let mut measured = cands.clone();
-        if !measured.contains(&KernelKind::Naive) {
-            measured.insert(0, KernelKind::Naive);
-        }
-        let mut rates: Vec<(KernelKind, f64)> = measured
+        let rates: Vec<(KernelKind, f64)> = KernelKind::ALL
             .iter()
             .map(|&kind| (kind, measure_gflops(kind, m, n, k)))
             .collect();
@@ -140,8 +132,7 @@ fn main() {
             .cloned()
             .max_by(|x, y| x.1.total_cmp(&y.1))
             .map(|(kind, _)| kind)
-            .expect("at least one candidate");
-        rates.sort_by_key(|&(kind, _)| kind.index());
+            .expect("at least one kernel");
 
         let mut rate_strs = Vec::new();
         let mut rate_json = String::new();
@@ -170,29 +161,13 @@ fn main() {
         .unwrap();
     }
 
-    // The autotuner's verdict on the full histogram (what the executor's
-    // `KernelSelect::Autotune` mode would dispatch).
-    let table = KernelTable::autotune(&hist);
-    let mut table_json = String::new();
-    for (i, (key, kind)) in table.entries().enumerate() {
-        if i > 0 {
-            table_json.push_str(",\n");
-        }
-        write!(
-            table_json,
-            "    {{\"class\": \"{key:#06x}\", \"kernel\": \"{}\"}}",
-            kind.name()
-        )
-        .unwrap();
-    }
-    println!("# autotuned {} shape classes", table.len());
-
     let json = format!(
         "{{\n  \"problem\": {{\"m\": {}, \"n\": {}, \"k\": {}, \"tiny\": {tiny}}},\n  \
-         \"shapes\": [\n{shapes_json}\n  ],\n  \"autotune\": [\n{table_json}\n  ]\n}}\n",
+         \"simd_isa\": \"{}\",\n  \"shapes\": [\n{shapes_json}\n  ]\n}}\n",
         spec.a.rows(),
         spec.b.cols(),
         spec.a.cols(),
+        isa.name(),
     );
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         if !dir.as_os_str().is_empty() {
@@ -202,7 +177,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH JSON");
 
     // Self-validation: the emitted document must re-parse, and must carry a
-    // measured rate for every candidate of every shape.
+    // measured rate for every kernel of every shape.
     let doc = match minijson::parse(&json) {
         Ok(doc) => doc,
         Err(e) => {
@@ -223,7 +198,7 @@ fn main() {
             s.get("n").and_then(|v| v.as_num()).unwrap() as usize,
             s.get("k").and_then(|v| v.as_num()).unwrap() as usize,
         );
-        for kind in candidates(m, n, k) {
+        for kind in KernelKind::ALL {
             let rate = s
                 .get("gflops")
                 .and_then(|g| g.get(kind.name()))

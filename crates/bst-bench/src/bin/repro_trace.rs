@@ -107,12 +107,12 @@ fn numeric_mode(args: &[String]) {
         ..ExecOptions::default()
     };
     let kernel_opts = ExecOptions {
-        kernel: bst_contract::KernelSelect::Autotune,
+        kernel: bst_contract::KernelSelect::Heuristic,
         genb_workers: 0,
         ..ExecOptions::default()
     };
     let opts = ExecOptions {
-        kernel: bst_contract::KernelSelect::Autotune,
+        kernel: bst_contract::KernelSelect::Heuristic,
         ..ExecOptions::default()
     };
     // Interleave the two timing legs three times and score each leg by its
@@ -249,7 +249,7 @@ fn faults_mode(spec: &ProblemSpec, nodes: usize, gpu_mem: u64, seed: u64, out_pa
 
 /// Prints the baseline-vs-tuned hot-path deltas the PR-1 tracer measures:
 /// per-kind Gemm time (kernel dispatch, at identical thread structure), the
-/// kernel mix the autotuner chose, GenB span overlap from the worker
+/// kernel mix the dispatcher chose, GenB span overlap from the worker
 /// fan-out, and tile-pool recycling.
 fn print_hot_path_comparison(
     baseline_gemm_ms: f64,
@@ -260,7 +260,7 @@ fn print_hot_path_comparison(
 ) {
     println!("# hot path vs baseline (blocked kernel, serialized GenB):");
     println!(
-        "#   Gemm time, per-task best of 3 (autotuned dispatch, same thread layout): {baseline_gemm_ms:.1} ms -> {kernel_gemm_ms:.1} ms ({:+.1}%)",
+        "#   Gemm time, per-task best of 3 (SIMD dispatch, same thread layout): {baseline_gemm_ms:.1} ms -> {kernel_gemm_ms:.1} ms ({:+.1}%)",
         (kernel_gemm_ms - baseline_gemm_ms) / baseline_gemm_ms * 100.0
     );
     let kernels: Vec<String> = kernel_leg

@@ -98,7 +98,7 @@ pub fn simulate_dbcsr(spec: &ProblemSpec, platform: &Platform) -> Result<DbcsrRe
 
     let mut best: Option<DbcsrReport> = None;
     for r in 1..=procs {
-        if procs % r != 0 {
+        if !procs.is_multiple_of(r) {
             continue;
         }
         let c = procs / r;

@@ -379,7 +379,7 @@ pub fn simulate_best_p(
     let mut best: Option<(usize, SimReport)> = None;
     let mut last_err = None;
     for p in 1..=platform.nodes {
-        if platform.nodes % p != 0 {
+        if !platform.nodes.is_multiple_of(p) {
             continue;
         }
         let config = bst_contract::PlannerConfig::paper(

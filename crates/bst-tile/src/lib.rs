@@ -14,18 +14,19 @@
 //!   low-rank factorization ([`Repr`]);
 //! * [`lowrank`] — the pivoted-QR truncation kernel and the rank-aware
 //!   GEMM routing behind [`kernel`] dispatch;
-//! * [`gemm`] — `C += A * B` kernels (naive reference, cache-blocked, a
-//!   family of packed register-blocked micro-kernels, and a rayon-parallel
-//!   variant) used by the simulated GPU executors;
-//! * [`kernel`] — shape-aware dispatch between the kernels, with a one-shot
-//!   micro-autotune ([`kernel::KernelTable`]) over an instance's tile-shape
-//!   distribution;
+//! * [`gemm`] — `C += A * B` kernels used by the simulated GPU executors:
+//!   the naive reference, a cache-blocked scalar loop, and one SIMD FMA
+//!   micro-kernel family (AVX-512F or AVX2 by run-time detection, scalar
+//!   fallback) that works on the column-major tiles in place;
+//! * [`kernel`] — dispatch between the kernels ([`KernelKind`]); the
+//!   executor's choice is a function of the shape and the host ISA only;
 //! * [`pool`] — a recycling buffer arena ([`pool::TilePool`]) so hot-path
 //!   tile allocations reuse freed buffers.
 //!
-//! Everything in this crate is deterministic and platform independent; random
-//! builders take explicit seeds (kernel *selection* by the autotuner is the
-//! one wall-clock-dependent choice, and it never affects results).
+//! Everything in this crate is deterministic; random builders take explicit
+//! seeds. The one platform dependence is the SIMD kernel's ISA tier: two
+//! hosts with different tiers sum in different orders and may differ in the
+//! last bits (well within 1e-10), while runs on one host are bit-identical.
 
 pub mod gemm;
 pub mod kernel;
@@ -34,7 +35,7 @@ pub mod pool;
 pub mod tile;
 pub mod tiling;
 
-pub use kernel::{KernelKind, KernelTable};
+pub use kernel::KernelKind;
 pub use pool::TilePool;
 pub use tile::{Repr, Tile};
 pub use tiling::Tiling;

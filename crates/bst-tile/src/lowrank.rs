@@ -267,10 +267,19 @@ mod tests {
         let mut c_ref = Tile::zeros(m, n);
         gemm_naive(1.5, &a_d, &b_d, &mut c_ref);
         for (a, b) in [(&a_l, &b_d), (&a_d, &b_l), (&a_l, &b_l)] {
-            let mut c = Tile::zeros(m, n);
-            gemm_lowrank(KernelKind::Blocked, 1.5, a, b, &mut c, tol);
-            let diff = c.max_abs_diff(&c_ref);
-            assert!(diff < 1e-4, "diff {diff} for reprs ({}, {})", a.is_dense(), b.is_dense());
+            for kind in [KernelKind::Blocked, KernelKind::Simd] {
+                let mut c = Tile::zeros(m, n);
+                gemm_lowrank(kind, 1.5, a, b, &mut c, tol);
+                let diff = c.max_abs_diff(&c_ref);
+                assert!(diff < 1e-4, "diff {diff} for reprs ({}, {})", a.is_dense(), b.is_dense());
+            }
+            // The same decomposition through the SIMD kernel and through
+            // the naive reference agree to rounding.
+            let mut c_naive = Tile::zeros(m, n);
+            let mut c_simd = Tile::zeros(m, n);
+            gemm_lowrank(KernelKind::Naive, 1.5, a, b, &mut c_naive, 0.0);
+            gemm_lowrank(KernelKind::Simd, 1.5, a, b, &mut c_simd, 0.0);
+            assert!(c_simd.max_abs_diff(&c_naive) < 1e-10);
         }
     }
 

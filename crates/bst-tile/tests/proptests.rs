@@ -1,7 +1,7 @@
 //! Property tests for tilings, GEMM kernels and low-rank compression.
 
-use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_packed, gemm_parallel};
-use bst_tile::kernel::{select_heuristic, KernelKind, KernelTable};
+use bst_tile::gemm::{gemm_blocked, gemm_naive, gemm_simd_on, Isa};
+use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::{Tile, Tiling};
 use proptest::prelude::*;
 
@@ -19,15 +19,27 @@ fn frob_diff(a: &Tile, b: &Tile) -> f64 {
 }
 
 /// Dimension generator biased to the adversarial edges of the kernels'
-/// blocking parameters: degenerate (1..5), around the cache block
-/// (63..66), and past it (127..130).
+/// blocking parameters: degenerate (1..5), around the 8- and 16-row
+/// micro-tiles (7..9, 15..17), around the cache block (63..66), and past
+/// it (127..130).
 fn ragged_dim() -> impl Strategy<Value = usize> {
-    prop_oneof![1usize..=5, 63usize..=66, 127usize..=130]
+    prop_oneof![
+        1usize..=5,
+        7usize..=9,
+        15usize..=17,
+        63usize..=66,
+        127usize..=130
+    ]
+}
+
+/// Every SIMD tier this host can run, the scalar fallback included.
+fn supported_tiers() -> impl Iterator<Item = Isa> {
+    Isa::ALL.into_iter().filter(|isa| isa.supported())
 }
 
 proptest! {
-    /// Every kernel variant — including the widened packed micro-kernels and
-    /// whatever a dispatch table selects — matches `gemm_naive` on
+    /// Every kernel variant — including each SIMD tier the host supports
+    /// and whatever dispatch selects — matches `gemm_naive` on
     /// ragged/adversarial shapes and alphas including 0 and negative.
     #[test]
     fn all_kernel_variants_match_naive_on_ragged_shapes(
@@ -51,12 +63,18 @@ proptest! {
                 kind.name(), m, n, k, alpha
             );
         }
+        for isa in supported_tiers() {
+            let mut c = c0.clone();
+            gemm_simd_on(isa, alpha, &a, &b, &mut c);
+            prop_assert!(
+                reference.max_abs_diff(&c) < 1e-10,
+                "{} tier diverged from naive at {}x{}x{} alpha={}",
+                isa.name(), m, n, k, alpha
+            );
+        }
         // Dispatch never changes results either.
-        let heuristic = select_heuristic(m, n, k);
-        let table = KernelTable::heuristic();
-        prop_assert_eq!(table.select(m, n, k), heuristic);
         let mut c = c0.clone();
-        heuristic.run(alpha, &a, &b, &mut c);
+        select_heuristic(m, n, k).run(alpha, &a, &b, &mut c);
         prop_assert!(reference.max_abs_diff(&c) < 1e-10);
     }
 
@@ -74,15 +92,14 @@ proptest! {
         let c0 = Tile::random(m, n, seed ^ 2);
         let mut c1 = c0.clone();
         let mut c2 = c0.clone();
-        let mut c3 = c0.clone();
-        let mut c4 = c0;
         gemm_naive(alpha, &a, &b, &mut c1);
         gemm_blocked(alpha, &a, &b, &mut c2);
-        gemm_parallel(alpha, &a, &b, &mut c3);
-        gemm_packed(alpha, &a, &b, &mut c4);
         prop_assert!(c1.max_abs_diff(&c2) < 1e-10);
-        prop_assert!(c1.max_abs_diff(&c3) < 1e-10);
-        prop_assert!(c1.max_abs_diff(&c4) < 1e-10);
+        for isa in supported_tiers() {
+            let mut c3 = c0.clone();
+            gemm_simd_on(isa, alpha, &a, &b, &mut c3);
+            prop_assert!(c1.max_abs_diff(&c3) < 1e-10, "{} tier", isa.name());
+        }
     }
 
     /// GEMM is linear in alpha: C(2a) - C(a) == C(a) - C(0).
@@ -200,10 +217,12 @@ proptest! {
         // leaves slack for accumulation order.
         let bound = 10.0 * tol * a.frobenius_norm() * b.frobenius_norm();
         for (lhs, rhs) in [(&a_lr, &b), (&a, &b_lr), (&a_lr, &b_lr)] {
-            let mut c = Tile::zeros(m, n);
-            KernelKind::Blocked.run(1.0, lhs, rhs, &mut c);
-            let err = frob_diff(&reference, &c);
-            prop_assert!(err <= bound, "mixed-repr GEMM drifted {err:.3e} > {bound:.3e}");
+            for kind in [KernelKind::Blocked, KernelKind::Simd] {
+                let mut c = Tile::zeros(m, n);
+                kind.run(1.0, lhs, rhs, &mut c);
+                let err = frob_diff(&reference, &c);
+                prop_assert!(err <= bound, "mixed-repr {} GEMM drifted {err:.3e} > {bound:.3e}", kind.name());
+            }
         }
     }
 

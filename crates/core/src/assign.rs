@@ -82,7 +82,7 @@ pub fn assign_columns_policy(
             for (pos, &j) in order.iter().enumerate() {
                 let round = pos / q;
                 let slot = pos % q;
-                let node = if round % 2 == 0 { slot } else { q - 1 - slot };
+                let node = if round.is_multiple_of(2) { slot } else { q - 1 - slot };
                 cols[node].push(j);
                 totals[node] += weights[j];
             }

@@ -1,7 +1,7 @@
 //! Task-body handlers: what each [`Op`] does when its turn comes.
 //!
 //! [`HandlerEnv`] bundles the shared, read-mostly state of one execution —
-//! problem, plan, stores, comm fabric, pools, kernel table, fault plan,
+//! problem, plan, stores, comm fabric, pools, kernel mode, fault plan,
 //! counters — and exposes the single fallible entry point
 //! [`HandlerEnv::handle`] that the engine drives for every task. Fault
 //! injection happens **at handler entry**, before any side effect, so a
@@ -25,12 +25,13 @@ use bst_runtime::data::{BCacheKey, DataKey};
 use bst_runtime::device::DeviceStats;
 use bst_runtime::graph::{TaskError, WorkerId};
 use bst_runtime::TileStore;
-use bst_tile::kernel::{KernelKind, KernelTable};
+use bst_tile::kernel::{select_heuristic, KernelKind};
 use bst_tile::pool::TilePool;
 use parking_lot::Mutex;
 
 use super::inspector::{block_b_tiles, block_c_tiles, owner_of, Lowered, Op};
 use super::memory::Ctx;
+use super::policies::KernelSelect;
 use super::report::DeviceMemLog;
 use super::BGen;
 use crate::error::{ExecError, GenError};
@@ -81,7 +82,7 @@ pub(crate) struct HandlerEnv<'a> {
     pub stores: &'a [TileStore],
     pub fabric: &'a CommFabric,
     pub pools: &'a [TilePool],
-    pub ktable: Option<KernelTable>,
+    pub kernel: KernelSelect,
     pub kernel_counts: Vec<AtomicU64>,
     pub fault: Option<FaultPlan>,
     /// `(p, q)` of the process grid (for `A` ownership).
@@ -308,9 +309,9 @@ impl HandlerEnv<'_> {
             }
             (Op::Gemm { i, k, j }, Ctx::Gpu(mm)) => {
                 let (at, bt, ct) = mm.gemm_operands(*i, *k, *j);
-                let kind = match &self.ktable {
-                    None => KernelKind::Blocked,
-                    Some(table) => table.select(ct.rows(), ct.cols(), at.cols()),
+                let kind = match self.kernel {
+                    KernelSelect::Baseline => KernelKind::Blocked,
+                    KernelSelect::Heuristic => select_heuristic(ct.rows(), ct.cols(), at.cols()),
                 };
                 kind.run_recompress(1.0, &at, &bt, ct, self.compress_tol);
                 self.kernel_counts[kind.index()].fetch_add(1, Ordering::Relaxed);

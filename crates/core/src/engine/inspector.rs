@@ -24,7 +24,7 @@
 //!   them only breaks the device-memory budget, which the memory manager
 //!   reports as an OOM, exactly like the real GPU would.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bst_runtime::comm::Topology;
@@ -248,8 +248,10 @@ pub struct Lowered {
     /// `LoadA` count per `(node, A tile)` — the device-load consumer
     /// refcount of each tile on each node.
     pub a_loads: HashMap<NodeTile, usize>,
-    /// `(owner, tile) → destination nodes` needing the tile remotely.
-    pub sends: HashMap<NodeTile, Vec<usize>>,
+    /// `(owner, tile) → destination nodes` needing the tile remotely,
+    /// ordered by key so every lowering emits its `SendA` tasks in the same
+    /// order.
+    pub sends: BTreeMap<NodeTile, Vec<usize>>,
     /// Broadcast trees: `(node, tile) → nodes this node forwards
     /// the tile to` (the A broadcast "happens in the background, at the
     /// tile granularity", §4).
@@ -360,8 +362,14 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
     }
 
     // sends[(owner, tile)] = destination nodes needing the tile remotely.
-    let mut sends: HashMap<(usize, (u32, u32)), Vec<usize>> = HashMap::new();
-    for &(ni, t) in a_loads.keys() {
+    // Keys are visited in sorted order (here and in every loop over
+    // `sends`), so the lowering is a pure function of the plan: destination
+    // lists, tree fan-outs and the `SendA` emission order never depend on
+    // hash-map iteration order.
+    let mut load_keys: Vec<NodeTile> = a_loads.keys().copied().collect();
+    load_keys.sort_unstable();
+    let mut sends: BTreeMap<NodeTile, Vec<usize>> = BTreeMap::new();
+    for (ni, t) in load_keys {
         let owner = owner_of(p, q, t.0 as usize, t.1 as usize);
         if owner != ni {
             sends.entry((owner, t)).or_default().push(ni);
@@ -494,7 +502,7 @@ pub fn lower(spec: &ProblemSpec, plan: &ExecutionPlan, opts: &ExecOptions) -> Lo
                     } else {
                         None
                     };
-                    let mut load_ids = HashMap::new();
+                    let mut load_ids = BTreeMap::new();
                     for &t in &chunk.tiles {
                         let id = graph.add_task(Op::LoadA { i: t.0, k: t.1 }, lane);
                         if let (Some(wd), true) = (window_dep, opts.prefetch_window) {

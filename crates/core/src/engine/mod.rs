@@ -39,7 +39,7 @@ use bst_runtime::graph::{FallibleRun, RunAbort, WorkerId};
 use bst_runtime::trace::{aggregate_by_kind, TaskRecord, TraceClock};
 use bst_runtime::TileStore;
 use bst_sparse::BlockSparseMatrix;
-use bst_tile::kernel::{KernelKind, KernelTable};
+use bst_tile::kernel::KernelKind;
 use bst_tile::pool::TilePool;
 use bst_tile::Tile;
 use parking_lot::Mutex;
@@ -52,7 +52,7 @@ use crate::spec::ProblemSpec;
 use handlers::{Counters, HandlerEnv};
 use inspector::{owner_of, Op};
 use memory::{Ctx, MemoryManager};
-use policies::{ExecOptions, KernelSelect};
+use policies::ExecOptions;
 use report::{DeviceMemLog, ExecReport, ExecTraceData, RecoveryStats};
 
 /// The node that accumulates C partial sums (flush handlers ship their
@@ -165,13 +165,8 @@ pub(crate) fn run(
         }
     }
 
-    // ---- Per-node buffer pools & kernel selection -------------------------
+    // ---- Per-node buffer pools ---------------------------------------------
     let pools: Vec<TilePool> = (0..n_nodes).map(|_| TilePool::new()).collect();
-    let ktable: Option<KernelTable> = match opts.kernel {
-        KernelSelect::Baseline => None,
-        KernelSelect::Heuristic => Some(KernelTable::heuristic()),
-        KernelSelect::Autotune => Some(KernelTable::autotune(&plan.gemm_shape_histogram(spec))),
-    };
 
     // ---- Execute ----------------------------------------------------------
     let registries: Vec<Arc<NodeResidency>> =
@@ -205,7 +200,7 @@ pub(crate) fn run(
         stores: &stores,
         fabric: &fabric,
         pools: &pools,
-        ktable,
+        kernel: opts.kernel,
         kernel_counts: KernelKind::ALL.iter().map(|_| AtomicU64::new(0)).collect(),
         fault: opts.fault_plan.filter(FaultPlan::is_active),
         grid: (p, q),

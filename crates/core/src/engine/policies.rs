@@ -26,26 +26,18 @@ pub enum Collectives {
     Tree,
 }
 
-/// How the executor picks a GEMM kernel for each `Gemm` task.
+/// How the executor picks a GEMM kernel for each `Gemm` task. Both modes
+/// are timing-independent: the choice is a function of the tile shape and
+/// the host's ISA, so repeated runs on one host are bit-identical.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelSelect {
-    /// Always `gemm_blocked` — the pre-dispatch behaviour, kept as the
-    /// comparison baseline for the traced perf reports.
+    /// Always the scalar `gemm_blocked` — kept as the comparison baseline
+    /// for the traced perf reports.
     Baseline,
-    /// Shape-rule dispatch ([`bst_tile::kernel::select_heuristic`]): zero
-    /// startup cost, good choices for common shapes. The default.
+    /// [`bst_tile::kernel::select_heuristic`]: the SIMD FMA kernel family
+    /// at the host's widest ISA tier. The default.
     #[default]
     Heuristic,
-    /// One-shot micro-autotune: benchmark the candidate kernels on the
-    /// plan's actual tile-shape distribution
-    /// ([`ExecutionPlan::gemm_shape_histogram`]) before executing, and
-    /// dispatch through the resulting [`KernelTable`]. Costs a few
-    /// milliseconds at startup; worth it for anything but tiny runs.
-    ///
-    /// [`ExecutionPlan::gemm_shape_histogram`]:
-    ///     crate::plan::ExecutionPlan::gemm_shape_histogram
-    /// [`KernelTable`]: bst_tile::kernel::KernelTable
-    Autotune,
 }
 
 /// Which control-flow edges to emit when lowering the plan. Both default to

@@ -231,10 +231,9 @@ impl ExecutionPlan {
     }
 
     /// The distribution of GEMM tile shapes this plan will execute:
-    /// `((m, n, k), task_count)` entries, sorted by shape. This is what the
-    /// kernel micro-autotuner (`bst_tile::kernel::KernelTable::autotune`)
-    /// consumes — candidates are benchmarked on the shapes the instance
-    /// actually runs, weighted by how often they occur.
+    /// `((m, n, k), task_count)` entries, sorted by shape. Kernel
+    /// benchmarks (`repro_kernels`, `perfbench`) measure the kernels on the
+    /// shapes the instance actually runs, weighted by how often they occur.
     pub fn gemm_shape_histogram(&self, spec: &ProblemSpec) -> Vec<((usize, usize, usize), u64)> {
         let mut hist: HashMap<(usize, usize, usize), u64> = HashMap::new();
         self.for_each_task(spec, |_, _, t| {

@@ -8,7 +8,9 @@ use bst_contract::{
     validate_trace_invariants, Collectives, DeliveryPolicy, DeviceConfig, ExecOptions, ExecReport,
     ExecutionPlan, FaultPlan, GridConfig, LinkClass, LinkShaper, PlannerConfig, ProblemSpec,
 };
+use bst_contract::engine::inspector::{self, Lowered, Op};
 use bst_runtime::data::DataKey;
+use bst_runtime::graph::WorkerId;
 use bst_runtime::trace::TracePhase;
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::matrix::tile_seed;
@@ -29,15 +31,18 @@ fn tiny_spec() -> ProblemSpec {
     ProblemSpec::new(prob.a, prob.b, None)
 }
 
-fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSparseMatrix, ExecReport) {
-    let config = PlannerConfig::paper(
+fn config(nodes: usize) -> PlannerConfig {
+    PlannerConfig::paper(
         GridConfig::from_nodes(nodes, 1),
         DeviceConfig {
             gpus_per_node: 2,
             gpu_mem_bytes: GPU_MEM,
         },
-    );
-    let plan = ExecutionPlan::build(spec, config).expect("plan");
+    )
+}
+
+fn run_nodes(spec: &ProblemSpec, nodes: usize, opts: ExecOptions) -> (BlockSparseMatrix, ExecReport) {
+    let plan = ExecutionPlan::build(spec, config(nodes)).expect("plan");
     let a = BlockSparseMatrix::random_from_structure(spec.a.clone(), 42);
     let b_gen = move |k: usize, j: usize, r: usize, c: usize, pool: &bst_tile::TilePool| {
         Ok(std::sync::Arc::new(pool.random(r, c, tile_seed(42 ^ 0xB, k, j))))
@@ -119,6 +124,36 @@ fn tree_halves_inter_node_a_bytes_vs_unicast() {
         ExecOptions::builder().collectives(Collectives::Unicast).build(),
     );
     assert_eq!(flat_tree.a_network_inter_bytes, flat_uni.a_network_inter_bytes);
+}
+
+/// Lowering is a pure function of the plan: the same plan lowered twice
+/// gives the same task sequence — payloads, lanes and dependency lists, the
+/// `SendA` broadcast hops included — under both collective shapes.
+#[test]
+fn lowering_the_same_plan_twice_is_identical() {
+    let spec = tiny_spec();
+    let plan = ExecutionPlan::build(&spec, config(8)).expect("plan");
+    let unicast = ExecOptions::builder()
+        .collectives(Collectives::Unicast)
+        .build();
+    for opts in [ExecOptions::builder().node_size(4).build(), unicast] {
+        let tasks = |low: &Lowered| -> Vec<(Op, WorkerId, Vec<usize>)> {
+            let g = &low.graph;
+            (0..g.len())
+                .map(|id| (g.payload(id).clone(), g.worker(id), g.deps(id).to_vec()))
+                .collect()
+        };
+        let first = tasks(&inspector::lower(&spec, &plan, &opts));
+        let sends = first
+            .iter()
+            .filter(|t| matches!(t.0, Op::SendA { .. }))
+            .count();
+        assert!(sends > 1, "the plan broadcasts no A tiles");
+        for _ in 0..3 {
+            let again = tasks(&inspector::lower(&spec, &plan, &opts));
+            assert!(again == first, "lowering order changed");
+        }
+    }
 }
 
 /// Frame drops on *interior* broadcast-tree hops — a forwarder, not the

@@ -304,8 +304,8 @@ fn report_counts_network_and_gemms() {
     assert_eq!(report.devices.len(), 2);
 }
 
-/// All three kernel-selection modes produce the same numbers (within
-/// fp associativity), the report names the variants that ran, and the
+/// Both kernel-selection modes produce the same numbers (within fp
+/// associativity), the report names the variants that ran, and the
 /// per-node tile pools actually recycle buffers on a multi-block run.
 #[test]
 fn kernel_modes_agree_and_pools_recycle() {
@@ -331,16 +331,15 @@ fn kernel_modes_agree_and_pools_recycle() {
     };
     let (c_base, r_base) = run(KernelSelect::Baseline);
     let (c_heur, r_heur) = run(KernelSelect::Heuristic);
-    let (c_auto, _r_auto) = run(KernelSelect::Autotune);
     assert!(c_base.max_abs_diff(&c_heur) < 1e-10);
-    assert!(c_base.max_abs_diff(&c_auto) < 1e-10);
+    // Selection is timing-independent: a second run is bit-identical.
+    let (c_again, _) = run(KernelSelect::Heuristic);
+    assert_eq!(c_heur.max_abs_diff(&c_again), 0.0);
 
     // Baseline pins every Gemm to the blocked kernel; the dispatcher
     // reports whatever it actually chose, totalling all Gemm tasks.
     assert_eq!(r_base.gemm_kernel_counts, vec![("blocked", r_base.gemm_tasks)]);
-    let dispatched: u64 = r_heur.gemm_kernel_counts.iter().map(|&(_, n)| n).sum();
-    assert_eq!(dispatched, r_heur.gemm_tasks);
-    assert!(!r_heur.gemm_kernel_counts.is_empty());
+    assert_eq!(r_heur.gemm_kernel_counts, vec![("simd", r_heur.gemm_tasks)]);
 
     // The single node's pool saw reuse: later blocks' C zero-fills and
     // generated B tiles come from recycled buffers.
