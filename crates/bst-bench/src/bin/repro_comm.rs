@@ -1,5 +1,5 @@
 //! Measures the `bst-comm` transport on a traced numeric contraction and
-//! emits a self-validated `results/BENCH_comm.json`.
+//! emits a gated `results/BENCH_comm.json`.
 //!
 //! Five legs over the same problem and seed, all on a node-aware topology
 //! (`--node-size` ranks per physical node, rank-major packing):
@@ -32,18 +32,18 @@
 //! is reported for the inter-node (NIC) class, which the Summit shaper
 //! caps at 23 GB/s.
 //!
-//! The emitted JSON is re-parsed and checked — conservation (every byte
-//! sent is received), byte-identity across same-bracketing legs, tree
-//! never moving more bytes than unicast, the ≥2× inter-node A-byte saving
-//! on multi-rank nodes — and any violation exits non-zero, so CI gates on
-//! this binary directly.
+//! The emitted JSON is re-parsed and checked by `bst_bench::gates` —
+//! conservation (every byte and message sent is received), byte-identity
+//! across same-bracketing legs, tree never moving more bytes than unicast,
+//! the ≥2× inter-node A-byte saving on multi-rank nodes — and any violation
+//! exits non-zero, so CI gates on this binary directly.
 //!
 //! Usage:
 //! ```text
 //! repro_comm [--tiny] [--nodes N] [--node-size S] [--no-sweep] [--out FILE]
 //! ```
 
-use bst_bench::{minijson, tiny_numeric_spec, traced_numeric_run};
+use bst_bench::{gates, tiny_numeric_spec, traced_numeric_run};
 use bst_contract::{
     Collectives, DeliveryPolicy, ExecOptions, ExecReport, FaultPlan, LinkShaper, ProblemSpec,
 };
@@ -248,12 +248,13 @@ faulted |diff| = {faulted_diff:.3e} ({faulted_drops} drops), unicast |diff| = {u
 \"recv_bytes\": {},\n  \"recv_msgs\": {},\n  \
 \"inter_bytes_moved\": {},\n  \"a_inter_bytes\": {},\n  \
 \"unicast_bytes_moved\": {},\n  \"unicast_inter_bytes\": {},\n  \"unicast_a_inter_bytes\": {},\n  \
-\"bytes_reduction\": {bytes_reduction:.4},\n  \"a_inter_reduction\": {a_inter_reduction:.4},\n  \
-\"effective_gbps\": {:.4},\n  \"intra_gbps\": {:.4},\n  \"matched_transfers\": {},\n  \
-\"link_busy_s\": {:.6},\n  \"comm_busy_s\": {:.6},\n  \"overlap_fraction\": {:.4},\n  \
-\"reorder_max_diff\": {reorder_diff:.3e},\n  \"shaped_max_diff\": {shaped_diff:.3e},\n  \
-\"faulted_max_diff\": {faulted_diff:.3e},\n  \"faulted_drops\": {faulted_drops},\n  \
-\"unicast_max_diff\": {unicast_diff:.3e},\n  \
+\"bytes_reduction\": {bytes_reduction:.4},\n  \"a_inter_reduction\": {a_inter_reduction},\n  \
+\"effective_gbps\": {},\n  \"intra_gbps\": {},\n  \"matched_transfers\": {},\n  \
+\"matched_inter\": {},\n  \"matched_intra\": {},\n  \
+\"link_busy_s\": {:.6},\n  \"comm_busy_s\": {:.6},\n  \"overlap_fraction\": {},\n  \
+\"reorder_max_diff\": {reorder_diff:e},\n  \"shaped_max_diff\": {shaped_diff:e},\n  \
+\"faulted_max_diff\": {faulted_diff:e},\n  \"faulted_drops\": {faulted_drops},\n  \
+\"unicast_max_diff\": {unicast_diff:e},\n  \
 \"per_node\": [\n{}\n  ],\n  \"sweep\": [\n{}\n  ]\n}}\n",
         spec.a.rows(),
         spec.b.cols(),
@@ -270,132 +271,15 @@ faulted |diff| = {faulted_diff:.3e} ({faulted_drops} drops), unicast |diff| = {u
         m.effective_gbps,
         m.intra_gbps,
         m.matched_transfers,
+        m.matched_inter,
+        m.matched_intra,
         m.link_busy_s,
         m.comm_busy_s,
         m.overlap_fraction,
         per_node.join(",\n"),
         sweep_json.join(",\n")
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH JSON");
-
-    // ---- Self-validation --------------------------------------------------
-    let mut errors = Vec::new();
-    if reorder_diff != 0.0 {
-        errors.push(format!(
-            "delivery reorder changed the result by {reorder_diff:.3e} (must be byte-identical)"
-        ));
-    }
-    if shaped_diff != 0.0 {
-        errors.push(format!(
-            "link shaping changed the result by {shaped_diff:.3e} (must be byte-identical)"
-        ));
-    }
-    if faulted_diff != 0.0 {
-        errors.push(format!(
-            "fault recovery changed the result by {faulted_diff:.3e} (must be byte-identical)"
-        ));
-    }
-    if nodes > 1 && faulted_drops == 0 {
-        errors.push("the faulted leg dropped no frames — injection never exercised the wire".into());
-    }
-    if unicast_diff > 1e-10 {
-        errors.push(format!(
-            "unicast baseline differs by {unicast_diff:.3e} (> 1e-10 — beyond re-bracketing noise)"
-        ));
-    }
-    if tree.total != tree.recv_total || tree.msgs != tree.recv_msgs {
-        errors.push(format!(
-            "conservation violated: sent {} B / {} msgs vs received {} B / {} msgs",
-            tree.total, tree.msgs, tree.recv_total, tree.recv_msgs
-        ));
-    }
-    if nodes > 1 && tree.total == 0 {
-        errors.push("no bytes crossed the fabric on a multi-node run".into());
-    }
-    if tree.inter > uni.inter {
-        errors.push(format!(
-            "tree collectives moved MORE inter-node bytes than unicast ({} > {})",
-            tree.inter, uni.inter
-        ));
-    }
-    // The headline claim: on multi-rank physical nodes the broadcast trees
-    // cut the A tiles' NIC traffic at least in half vs point-to-point.
-    if node_size > 1 && nodes >= 2 * node_size && uni.a_inter > 0 && 2 * tree.a_inter > uni.a_inter
-    {
-        errors.push(format!(
-            "inter-node A bytes only fell from {} to {} ({a_inter_reduction:.2}x, need >= 2x)",
-            uni.a_inter, tree.a_inter
-        ));
-    }
-    if m.matched_inter > 0 && !(0.0 < m.effective_gbps && m.effective_gbps <= 23.0 + 1e-9) {
-        errors.push(format!(
-            "effective NIC rate {:.3} GB/s outside (0, 23] — shaping is miscalibrated",
-            m.effective_gbps
-        ));
-    }
-    if m.matched_intra > 0 && !(0.0 < m.intra_gbps && m.intra_gbps <= 50.0 + 1e-9) {
-        errors.push(format!(
-            "intra-node rate {:.3} GB/s outside (0, 50] — shaping is miscalibrated",
-            m.intra_gbps
-        ));
-    }
-    if !(0.0..=1.0).contains(&m.overlap_fraction) {
-        errors.push(format!("overlap fraction {} outside [0, 1]", m.overlap_fraction));
-    }
-    for row in &sweep_rows {
-        if row.tree.inter > row.unicast.inter {
-            errors.push(format!(
-                "sweep P={} S={}: tree moved more inter-node bytes than unicast ({} > {})",
-                row.nodes, row.node_size, row.tree.inter, row.unicast.inter
-            ));
-        }
-    }
-    match minijson::parse(&json) {
-        Ok(doc) => {
-            for key in [
-                "problem",
-                "nodes",
-                "node_size",
-                "bytes_moved",
-                "messages",
-                "inter_bytes_moved",
-                "a_inter_bytes",
-                "unicast_a_inter_bytes",
-                "a_inter_reduction",
-                "effective_gbps",
-                "overlap_fraction",
-                "faulted_drops",
-                "per_node",
-                "sweep",
-            ] {
-                if doc.get(key).is_none() {
-                    errors.push(format!("emitted JSON lacks \"{key}\""));
-                }
-            }
-            let n_rows = doc.get("per_node").and_then(minijson::Value::as_arr).map(|a| a.len());
-            if n_rows != Some(nodes) {
-                errors.push(format!("per_node has {n_rows:?} rows, want {nodes}"));
-            }
-            let s_rows = doc.get("sweep").and_then(minijson::Value::as_arr).map(|a| a.len());
-            if s_rows != Some(sweep_rows.len()) {
-                errors.push(format!("sweep has {s_rows:?} rows, want {}", sweep_rows.len()));
-            }
-        }
-        Err(e) => errors.push(format!("emitted JSON does not re-parse: {e}")),
-    }
-    if !errors.is_empty() {
-        eprintln!("error: BENCH_comm self-validation failed:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
-        std::process::exit(1);
-    }
-    println!("# wrote {out_path}: self-validation OK");
+    gates::emit(&out_path, &json, "comm");
 }
 
 /// Byte totals of one leg's transport, summed over nodes.

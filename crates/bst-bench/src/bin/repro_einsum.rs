@@ -1,4 +1,4 @@
-//! Exercises the einsum frontend end to end and emits a self-validated
+//! Exercises the einsum frontend end to end and emits a gated
 //! `results/BENCH_einsum.json`.
 //!
 //! Two legs, both gated:
@@ -14,9 +14,8 @@
 //!   screened intermediate, gated at ≤ 1e-10 against a dense reference
 //!   evaluation.
 //!
-//! Any gate violation exits non-zero, so CI can gate on this binary
-//! directly; the emitted JSON re-parses through `minijson` with the
-//! expected keys.
+//! The emitted JSON is checked by `bst_bench::gates`; any gate violation
+//! exits non-zero, so CI can gate on this binary directly.
 //!
 //! Usage:
 //! ```text
@@ -26,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bst_bench::{minijson, tiny_numeric_spec};
+use bst_bench::{gates, tiny_numeric_spec};
 use bst_contract::api::contract_abcd;
 use bst_contract::einsum::Einsum;
 use bst_contract::{DeviceConfig, GridConfig, PlannerConfig, ProblemSpec};
@@ -153,15 +152,13 @@ fn main() {
         chain_gemms
     );
 
-    let validated = abcd_diff == 0.0 && chain_diff <= 1e-10 && chain.reports.len() == 2;
     let json = format!(
         "{{\n  \"tiny\": {tiny},\n  \
 \"abcd\": {{\"rows\": {}, \"cols\": {}, \"gemm_tasks\": {abcd_gemms}, \
-\"legacy_gemm_tasks\": {}, \"bit_diff\": {abcd_diff:.3e}, \
+\"legacy_gemm_tasks\": {}, \"bit_diff\": {abcd_diff:e}, \
 \"einsum_s\": {einsum_elapsed:.4}, \"contract_abcd_s\": {legacy_elapsed:.4}}},\n  \
 \"chain\": {{\"m\": {}, \"n\": {}, \"terms\": {}, \"gemm_tasks\": {chain_gemms}, \
-\"max_diff\": {chain_diff:.3e}, \"elapsed_s\": {chain_elapsed:.4}}},\n  \
-\"validated\": {validated}\n}}\n",
+\"max_diff\": {chain_diff:e}, \"elapsed_s\": {chain_elapsed:.4}}}\n}}\n",
         t.matricised().structure().rows(),
         v_struct.cols(),
         legacy_report.gemm_tasks,
@@ -169,49 +166,5 @@ fn main() {
         d_struct.cols(),
         chain.reports.len(),
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH JSON");
-
-    // ---- Self-validation ---------------------------------------------------
-    let mut errors = Vec::new();
-    if abcd_diff != 0.0 {
-        errors.push(format!(
-            "einsum \"ijcd,cdab->ijab\" diverged from contract_abcd by {abcd_diff:.3e} \
-(must be bit-identical)"
-        ));
-    }
-    if chain_diff > 1e-10 {
-        errors.push(format!(
-            "chain \"ij,jk,kl->il\" diverged from the dense reference by {chain_diff:.3e} \
-(gate: 1e-10)"
-        ));
-    }
-    if chain.reports.len() != 2 {
-        errors.push(format!("chain lowered into {} terms, expected 2", chain.reports.len()));
-    }
-    match minijson::parse(&json) {
-        Ok(doc) => {
-            for key in ["tiny", "abcd", "chain", "validated"] {
-                if doc.get(key).is_none() {
-                    errors.push(format!("emitted JSON lacks \"{key}\""));
-                }
-            }
-            if doc.get("validated").and_then(minijson::Value::as_bool) != Some(true) {
-                errors.push("emitted JSON carries validated != true".into());
-            }
-        }
-        Err(e) => errors.push(format!("emitted JSON does not re-parse: {e}")),
-    }
-    if !errors.is_empty() {
-        eprintln!("error: BENCH_einsum self-validation failed:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
-        std::process::exit(1);
-    }
-    println!("# wrote {out_path}: self-validation OK");
+    gates::emit(&out_path, &json, "einsum");
 }

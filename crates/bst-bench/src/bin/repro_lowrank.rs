@@ -1,5 +1,5 @@
 //! Measures representation-polymorphic (low-rank) tile compression through
-//! the full engine and emits a self-validated `results/BENCH_lowrank.json`.
+//! the full engine and emits a gated `results/BENCH_lowrank.json`.
 //!
 //! The workload is a low-rank-friendly contraction: every A and B tile has a
 //! geometrically decaying spectrum (`σ_p = e^{-decay·p}`, the shape
@@ -16,19 +16,19 @@
 //!   **bit-identical** (`max |diff| == 0.0`) to the dense leg, proving the
 //!   zero tolerance takes literally no compression code path.
 //!
-//! Self-validation gates: B-tile stored bytes shrink ≥ 2× at the requested
-//! tolerance, per-tile achieved truncation error ≤ requested everywhere, the
-//! lossy result lands within a small multiple of the tolerance, A wire bytes
-//! shrink, every stressor diff is exactly 0.0, and the emitted JSON
-//! re-parses with the expected keys. Any violation exits non-zero, so CI can
-//! gate on this binary directly.
+//! The emitted JSON is checked by `bst_bench::gates`: B-tile stored bytes
+//! shrink ≥ 2× at the requested tolerance, per-tile achieved truncation
+//! error ≤ requested everywhere, the lossy result lands within a small
+//! multiple of the tolerance, A wire bytes shrink, and every stressor diff
+//! is exactly 0.0. Any violation exits non-zero, so CI can gate on this
+//! binary directly.
 //!
 //! Usage:
 //! ```text
 //! repro_lowrank [--tiny] [--tol T] [--decay D] [--out FILE]
 //! ```
 
-use bst_bench::minijson;
+use bst_bench::gates;
 use bst_contract::{
     DeviceConfig, ExecOptions, ExecutionPlan, FaultPlan, GridConfig, PlannerConfig, ProblemSpec,
 };
@@ -189,94 +189,18 @@ result relative error {achieved:.3e} (requested {tol:e})"
         println!("# tol=0.0 under {name}: max |diff| = {d:.3e}");
     }
 
-    let validated = compression_ratio >= 2.0
-        && worst_tile_err <= tol
-        && achieved <= tol * 50.0
-        && lossy_wire < dense_wire
-        && max_stressor_diff == 0.0;
-
     let json = format!(
         "{{\n  \"problem\": {{\"m\": {m}, \"n\": {n}, \"k\": {k}, \"tiny\": {tiny}}},\n  \
 \"tolerance\": {tol:e},\n  \"decay\": {decay},\n  \
 \"b_dense_bytes\": {b_dense_bytes},\n  \"b_stored_bytes\": {b_stored_bytes},\n  \
-\"compression_ratio\": {compression_ratio:.3},\n  \"bytes_saved\": {bytes_saved},\n  \
+\"compression_ratio\": {compression_ratio},\n  \"bytes_saved\": {bytes_saved},\n  \
 \"dense_wire_bytes\": {dense_wire},\n  \"lossy_wire_bytes\": {lossy_wire},\n  \
-\"worst_tile_relative_error\": {worst_tile_err:.3e},\n  \
-\"achieved_relative_error\": {achieved:.3e},\n  \
+\"worst_tile_relative_error\": {worst_tile_err:e},\n  \
+\"achieved_relative_error\": {achieved:e},\n  \
 \"requested_relative_error\": {tol:e},\n  \
-\"max_stressor_diff\": {max_stressor_diff:.3e},\n  \
-\"gemm_tasks\": {},\n  \"validated\": {validated}\n}}\n",
+\"max_stressor_diff\": {max_stressor_diff:e},\n  \
+\"gemm_tasks\": {}\n}}\n",
         rep_lossy.gemm_tasks,
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH JSON");
-
-    // ---- Self-validation --------------------------------------------------
-    let mut errors = Vec::new();
-    if compression_ratio < 2.0 {
-        errors.push(format!(
-            "B-tile compression {compression_ratio:.2}x below the 2x gate \
-({b_dense_bytes} B dense vs {b_stored_bytes} B stored)"
-        ));
-    }
-    if worst_tile_err > tol {
-        errors.push(format!(
-            "per-tile truncation error {worst_tile_err:.3e} exceeds requested tolerance {tol:e}"
-        ));
-    }
-    if achieved > tol * 50.0 {
-        errors.push(format!(
-            "result relative error {achieved:.3e} above the {:.1e} acceptance bound",
-            tol * 50.0
-        ));
-    }
-    if lossy_wire >= dense_wire {
-        errors.push(format!(
-            "compressed run shipped no fewer wire bytes ({lossy_wire} vs {dense_wire})"
-        ));
-    }
-    for (name, d) in &stressor_diffs {
-        if *d != 0.0 {
-            errors.push(format!(
-                "tol=0.0 under {name} diverged by {d:.3e} (must be bit-identical)"
-            ));
-        }
-    }
-    match minijson::parse(&json) {
-        Ok(doc) => {
-            for key in [
-                "problem",
-                "tolerance",
-                "b_dense_bytes",
-                "b_stored_bytes",
-                "compression_ratio",
-                "bytes_saved",
-                "worst_tile_relative_error",
-                "achieved_relative_error",
-                "requested_relative_error",
-                "max_stressor_diff",
-                "validated",
-            ] {
-                if doc.get(key).is_none() {
-                    errors.push(format!("emitted JSON lacks \"{key}\""));
-                }
-            }
-            if doc.get("validated").and_then(minijson::Value::as_bool) != Some(true) {
-                errors.push("emitted JSON carries validated != true".into());
-            }
-        }
-        Err(e) => errors.push(format!("emitted JSON does not re-parse: {e}")),
-    }
-    if !errors.is_empty() {
-        eprintln!("error: BENCH_lowrank self-validation failed:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
-        std::process::exit(1);
-    }
-    println!("# wrote {out_path}: self-validation OK");
+    gates::emit(&out_path, &json, "lowrank");
 }

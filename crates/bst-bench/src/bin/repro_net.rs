@@ -1,6 +1,6 @@
 //! Multi-process socket-transport reproduction: runs the same contraction
 //! as a fleet of real OS processes over loopback sockets and emits a
-//! self-validated `results/BENCH_net.json`.
+//! gated `results/BENCH_net.json` (gates in `bst_bench::gates`).
 //!
 //! Four legs, each gated against an **in-process channel-transport
 //! reference** computed with identical spec/plan/seeds:
@@ -28,7 +28,7 @@
 //! repro_net worker --rank R --ranks N --connect ADDR ...   (internal)
 //! ```
 
-use bst_bench::minijson;
+use bst_bench::gates;
 use bst_cli::{launch_config, run_launch, NetRunReport};
 
 const USAGE: &str = "usage: repro_net [--tiny] [--out FILE]";
@@ -150,7 +150,6 @@ max |diff| = {:.3e}{recovered}",
         );
     }
 
-    // ---- Gates -------------------------------------------------------------
     // Clean/reorder legs must be *bitwise* equal to the channel transport;
     // the kill leg runs a degraded re-plan (different accumulation order)
     // and must agree to 1e-10 after a detected death and one respawn.
@@ -160,18 +159,13 @@ max |diff| = {:.3e}{recovered}",
         .map(|n| leg(n).max_diff)
         .fold(0.0, f64::max);
     let kill = leg("kill");
-    let validated = bit_identity_max == 0.0
-        && results.iter().all(|r| r.sent_frames > 0 && r.recv_frames > 0)
-        && kill.recovered_dead == Some(2)
-        && kill.attempts == 2
-        && kill.max_diff <= 1e-10;
 
     let legs_json: Vec<String> = results
         .iter()
         .map(|r| {
             format!(
                 "    {{\"name\": \"{}\", \"transport\": \"{}\", \"workers\": {}, \
-\"attempts\": {}, \"max_diff\": {:.3e}, \"recovered_dead\": {}, \
+\"attempts\": {}, \"max_diff\": {:e}, \"recovered_dead\": {}, \
 \"sent_frames\": {}, \"recv_frames\": {}}}",
                 r.name,
                 r.transport,
@@ -187,83 +181,13 @@ max |diff| = {:.3e}{recovered}",
     let json = format!(
         "{{\n  \"workers\": {workers},\n  \"problem\": \"{problem}\",\n  \
 \"tiny\": {tiny},\n  \"legs\": [\n{}\n  ],\n  \
-\"bit_identity_max_diff\": {bit_identity_max:.3e},\n  \
-\"kill_max_diff\": {:.3e},\n  \"kill_recovered\": {},\n  \
-\"kill_attempts\": {},\n  \"validated\": {validated}\n}}\n",
+\"bit_identity_max_diff\": {bit_identity_max:e},\n  \
+\"kill_max_diff\": {:e},\n  \"kill_recovered\": {},\n  \
+\"kill_attempts\": {}\n}}\n",
         legs_json.join(",\n"),
         kill.max_diff,
         kill.recovered_dead.is_some(),
         kill.attempts,
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH JSON");
-
-    // ---- Self-validation ---------------------------------------------------
-    let mut errors = Vec::new();
-    if bit_identity_max != 0.0 {
-        errors.push(format!(
-            "socket transports are not bit-identical to the channel transport \
-(max |diff| = {bit_identity_max:.3e})"
-        ));
-    }
-    for r in &results {
-        if r.sent_frames == 0 || r.recv_frames == 0 {
-            errors.push(format!("leg {} moved no frames over the wire", r.name));
-        }
-    }
-    if kill.recovered_dead != Some(2) {
-        errors.push(format!(
-            "kill drill: expected rank 2 to die and be written off, got {:?}",
-            kill.recovered_dead
-        ));
-    }
-    if kill.attempts != 2 {
-        errors.push(format!("kill drill: expected 2 fleet attempts, got {}", kill.attempts));
-    }
-    if kill.max_diff > 1e-10 {
-        errors.push(format!(
-            "kill drill: degraded run disagrees with the fault-free reference \
-({:.3e} > 1e-10)",
-            kill.max_diff
-        ));
-    }
-    match minijson::parse(&json) {
-        Ok(doc) => {
-            for key in [
-                "workers",
-                "problem",
-                "legs",
-                "bit_identity_max_diff",
-                "kill_max_diff",
-                "kill_recovered",
-                "kill_attempts",
-                "validated",
-            ] {
-                if doc.get(key).is_none() {
-                    errors.push(format!("emitted JSON lacks \"{key}\""));
-                }
-            }
-            let n_legs =
-                doc.get("legs").and_then(minijson::Value::as_arr).map_or(0, |a| a.len());
-            if n_legs != 4 {
-                errors.push(format!("emitted JSON carries {n_legs} legs, expected 4"));
-            }
-            if doc.get("validated").and_then(minijson::Value::as_bool) != Some(true) {
-                errors.push("emitted JSON carries validated != true".into());
-            }
-        }
-        Err(e) => errors.push(format!("emitted JSON does not re-parse: {e}")),
-    }
-    if !errors.is_empty() {
-        eprintln!("error: BENCH_net self-validation failed:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
-        std::process::exit(1);
-    }
-    println!("# wrote {out_path}: self-validation OK");
+    gates::emit(&out_path, &json, "net");
 }

@@ -8,7 +8,10 @@
 //!   swept, densities {1, .75, .5, .25, .1}, 16 Summit nodes) for Figures
 //!   2, 3 and 4;
 //! * [`scaling_sweep`] — the §5.2 C65H132 strong-scaling sweep (3–108 GPUs,
-//!   tilings v1/v2/v3) for Figures 7, 8 and 9.
+//!   tilings v1/v2/v3) for Figures 7, 8 and 9;
+//! * [`gates`] — the pass/fail gates of every `results/BENCH_*.json`
+//!   artifact, shared by the binaries that emit them and the
+//!   `results_valid` test.
 
 use bst_chem::{CcsdProblem, TilingSpec};
 use bst_contract::exec::execute_numeric_with;
@@ -21,6 +24,7 @@ use bst_sim::{simulate, Platform, SimReport};
 use bst_sparse::generate::{generate, SyntheticParams};
 use bst_sparse::BlockSparseMatrix;
 
+pub mod gates;
 pub mod minijson;
 
 /// The densities of the paper's Fig. 2.

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bst_bench::{tiny_numeric_spec, traced_numeric_run};
 use bst_contract::{validate_trace_invariants, ExecOptions, FaultPlan};
 use bst_runtime::engine::{infallible, Engine};
-use bst_runtime::graph::{RetryOptions, TaskError, TaskGraph, WorkerId};
+use bst_runtime::graph::{RetryPolicy, TaskError, TaskGraph, WorkerId};
 
 /// A layered deterministic DAG: task `t`'s value is a pure fold of its
 /// dependencies' values, so *any* valid schedule produces bit-identical
@@ -60,6 +60,13 @@ fn value_of(graph: &TaskGraph<usize>, out: &[AtomicU64], id: usize) -> f64 {
 fn bits(out: &[AtomicU64]) -> Vec<u64> {
     out.iter().map(|b| b.load(Ordering::SeqCst)).collect()
 }
+
+/// The fallible task body every retry stack of
+/// `retry_policy_stacks_recover_to_identical_bytes` runs.
+type Body<'a> = dyn Fn(&usize, WorkerId, &mut (), u32) -> Result<(), TaskError<String>> + Sync + 'a;
+
+/// One engine stack of that test: runs the body over the graph.
+type Stack<'a> = dyn Fn(&TaskGraph<usize>, &[AtomicU64], &Body<'_>) + 'a;
 
 /// Whether this task fails (transiently) on its first attempt in the
 /// fault-injected legs — deterministic in the task id.
@@ -169,15 +176,11 @@ fn infallible_adapter_matches_explicit_handler() {
 fn retry_policy_stacks_recover_to_identical_bytes() {
     let (graph, workers) = build_graph();
     let n = graph.len();
-    let retry = RetryOptions::default();
+    let retry = RetryPolicy::default();
 
     // One shared fallible body: first attempt of a "faulty" task fails
     // transiently; the retry recomputes the identical value.
-    let run_with = |exec: &dyn Fn(
-        &TaskGraph<usize>,
-        &[AtomicU64],
-        &(dyn Fn(&usize, WorkerId, &mut (), u32) -> Result<(), TaskError<String>> + Sync),
-    )| {
+    let run_with = |exec: &Stack<'_>| {
         let out: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let (g, o) = (&graph, &out);
         let body = move |&id: &usize, _w: WorkerId, _c: &mut (), attempt: u32| {

@@ -1,9 +1,10 @@
-//! Gate sweep over the committed benchmark artifacts: every
-//! `results/BENCH_*.json` must re-parse and still satisfy the pass/gate
-//! fields it was generated under (the same gates CI's python steps
-//! re-check on freshly generated copies). A regressed or hand-edited
-//! artifact fails `cargo test` instead of silently shipping.
+//! Gate sweep over `results/`: every `BENCH_<stem>.json` — the committed
+//! artifacts and the `BENCH_<stem>_ci.json` copies CI's smoke steps
+//! regenerate — must re-parse and pass `bst_bench::gates::check`, the same
+//! gates the emitting binary ran. A regressed or hand-edited artifact fails
+//! `cargo test` instead of silently shipping.
 
+use bst_bench::gates;
 use bst_bench::minijson::{parse, Value};
 use std::path::{Path, PathBuf};
 
@@ -17,154 +18,100 @@ fn load(path: &Path) -> Value {
     parse(&text).unwrap_or_else(|e| panic!("{}: does not parse: {e}", path.display()))
 }
 
-/// `doc[key]` as a number, or panic naming the file and field.
-fn num(doc: &Value, file: &str, key: &str) -> f64 {
-    doc.get(key)
-        .and_then(Value::as_num)
-        .unwrap_or_else(|| panic!("{file}: missing numeric \"{key}\""))
-}
-
-fn arr<'a>(doc: &'a Value, file: &str, key: &str) -> &'a [Value] {
-    doc.get(key)
-        .and_then(Value::as_arr)
-        .unwrap_or_else(|| panic!("{file}: missing array \"{key}\""))
-}
-
-fn assert_validated(doc: &Value, file: &str) {
-    assert_eq!(
-        doc.get("validated").and_then(Value::as_bool),
-        Some(true),
-        "{file}: validated flag is not true"
-    );
-}
-
-fn check_comm(doc: &Value, f: &str) {
-    assert_eq!(num(doc, f, "nodes"), 16.0, "{f}: wrong node count");
-    assert_eq!(num(doc, f, "node_size"), 4.0, "{f}: wrong node size");
-    let moved = num(doc, f, "bytes_moved");
-    assert!(moved > 0.0, "{f}: no bytes moved");
-    assert_eq!(moved, num(doc, f, "recv_bytes"), "{f}: byte conservation violated");
-    assert_eq!(num(doc, f, "reorder_max_diff"), 0.0, "{f}: reorder leg not bit-identical");
-    assert_eq!(num(doc, f, "shaped_max_diff"), 0.0, "{f}: shaped leg not bit-identical");
-    assert_eq!(num(doc, f, "faulted_max_diff"), 0.0, "{f}: faulted leg not bit-identical");
-    assert!(num(doc, f, "faulted_drops") > 0.0, "{f}: fault leg dropped nothing");
-    assert!(
-        num(doc, f, "inter_bytes_moved") <= num(doc, f, "unicast_inter_bytes"),
-        "{f}: tree moved more inter-node bytes than unicast"
-    );
-    assert!(num(doc, f, "a_inter_reduction") >= 2.0, "{f}: broadcast tree below 2x");
-    assert_eq!(arr(doc, f, "per_node").len(), 16, "{f}: per_node row count");
-    for row in arr(doc, f, "sweep") {
-        assert!(
-            num(row, f, "tree_inter_bytes") <= num(row, f, "unicast_inter_bytes"),
-            "{f}: a sweep point regressed above unicast"
-        );
-    }
-}
-
-fn check_service(doc: &Value, f: &str) {
-    assert_validated(doc, f);
-    assert!(num(doc, f, "plan_hits") > 0.0, "{f}: plan cache never hit");
-    assert_eq!(num(doc, f, "warm_vs_cold_max_diff"), 0.0, "{f}: warm results not bit-identical");
-    assert!(num(doc, f, "b_gen_reduction") >= 5.0, "{f}: B-generation reduction below 5x");
-}
-
-fn check_einsum(doc: &Value, f: &str) {
-    assert_validated(doc, f);
-    let abcd = doc.get("abcd").unwrap_or_else(|| panic!("{f}: missing \"abcd\""));
-    assert_eq!(num(abcd, f, "bit_diff"), 0.0, "{f}: ABCD not bit-identical");
-    let chain = doc.get("chain").unwrap_or_else(|| panic!("{f}: missing \"chain\""));
-    assert!(num(chain, f, "max_diff") <= 1e-10, "{f}: chain above 1e-10");
-    assert_eq!(num(chain, f, "terms"), 2.0, "{f}: chain term count");
-}
-
-fn check_lowrank(doc: &Value, f: &str) {
-    assert_validated(doc, f);
-    assert!(num(doc, f, "compression_ratio") >= 2.0, "{f}: compression below 2x");
-    let requested = num(doc, f, "requested_relative_error");
-    assert!(
-        num(doc, f, "worst_tile_relative_error") <= requested,
-        "{f}: a tile exceeded the requested tolerance"
-    );
-    assert!(
-        num(doc, f, "achieved_relative_error") <= 50.0 * requested,
-        "{f}: result error above the acceptance bound"
-    );
-    assert!(
-        num(doc, f, "lossy_wire_bytes") < num(doc, f, "dense_wire_bytes"),
-        "{f}: compression saved no wire bytes"
-    );
-    assert_eq!(num(doc, f, "max_stressor_diff"), 0.0, "{f}: tol=0.0 stressor diverged");
-}
-
-fn check_kernels(doc: &Value, f: &str) {
-    let shapes = arr(doc, f, "shapes");
-    assert!(!shapes.is_empty(), "{f}: no shapes benchmarked");
-    for s in shapes {
-        let winner = s
-            .get("winner")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("{f}: shape without winner"));
-        let gflops = s.get("gflops").unwrap_or_else(|| panic!("{f}: shape without gflops"));
-        let rate = gflops
-            .get(winner)
-            .and_then(Value::as_num)
-            .unwrap_or_else(|| panic!("{f}: winner \"{winner}\" not among the measured kernels"));
-        assert!(rate > 0.0, "{f}: winner at zero throughput");
-    }
-}
-
-fn check_net(doc: &Value, f: &str) {
-    assert_validated(doc, f);
-    assert_eq!(num(doc, f, "bit_identity_max_diff"), 0.0, "{f}: socket legs not bit-identical");
-    assert!(num(doc, f, "kill_max_diff") <= 1e-10, "{f}: degraded run above 1e-10");
-    assert_eq!(doc.get("kill_recovered").and_then(Value::as_bool), Some(true), "{f}: kill leg never recovered");
-    assert_eq!(num(doc, f, "kill_attempts"), 2.0, "{f}: kill leg attempts");
-    let legs = arr(doc, f, "legs");
-    assert_eq!(legs.len(), 4, "{f}: leg count");
-    for leg in legs {
-        assert!(num(leg, f, "sent_frames") > 0.0, "{f}: a leg moved no frames");
-    }
-}
-
-/// Sweeps every committed `BENCH_*.json`. Unknown artifacts fail loudly:
-/// adding a benchmark without registering its gates here would otherwise
-/// reopen the silent-regression hole this test closes.
+/// Sweeps every `BENCH_*.json` in `results/`. Unknown stems fail loudly:
+/// adding a benchmark without registering its gates in `bst_bench::gates`
+/// would otherwise reopen the silent-regression hole this test closes.
 #[test]
 fn every_committed_bench_artifact_passes_its_gates() {
-    let dir = results_dir();
     let mut seen = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("results/ directory") {
+    for entry in std::fs::read_dir(results_dir()).expect("results/ directory") {
         let path = entry.expect("dir entry").path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-            continue;
-        }
+        let Some(stem) = gates::stem(&name) else { continue };
+        assert!(
+            gates::artifacts().any(|s| s == stem),
+            "{name}: benchmark artifact with no registered gates — add them to bst_bench::gates"
+        );
         let doc = load(&path);
-        match name.as_str() {
-            "BENCH_comm.json" => check_comm(&doc, &name),
-            "BENCH_service.json" => check_service(&doc, &name),
-            "BENCH_einsum.json" => check_einsum(&doc, &name),
-            "BENCH_lowrank.json" => check_lowrank(&doc, &name),
-            "BENCH_kernels.json" => check_kernels(&doc, &name),
-            "BENCH_net.json" => check_net(&doc, &name),
-            other => panic!(
-                "{other}: committed benchmark artifact with no registered gates — \
-add a checker to results_valid.rs"
-            ),
+        let errors = gates::check(stem, &doc);
+        assert!(errors.is_empty(), "{name} fails its gates:\n  {}", errors.join("\n  "));
+        // The committed comm artifact and CI's copy are both the P=16,
+        // node_size=4 configuration the headline numbers quote.
+        if stem == "comm" {
+            let field = |key: &str| doc.get(key).and_then(Value::as_num);
+            assert_eq!(field("nodes"), Some(16.0), "{name}: wrong node count");
+            assert_eq!(field("node_size"), Some(4.0), "{name}: wrong node size");
         }
         seen.push(name);
     }
     // The sweep must actually cover the committed set; an empty results/
     // would vacuously pass otherwise.
-    for required in [
-        "BENCH_comm.json",
-        "BENCH_service.json",
-        "BENCH_einsum.json",
-        "BENCH_lowrank.json",
-        "BENCH_kernels.json",
-        "BENCH_net.json",
-    ] {
-        assert!(seen.iter().any(|s| s == required), "missing committed artifact {required}");
+    for stem in gates::artifacts() {
+        let required = format!("BENCH_{stem}.json");
+        assert!(seen.contains(&required), "missing committed artifact {required}");
     }
+}
+
+/// `doc[path]`, descending through object keys and array indices.
+fn at<'a>(doc: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(doc, |v, key| match v {
+        Value::Obj(fields) => {
+            &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key}")).1
+        }
+        Value::Arr(items) => &mut items[key.parse::<usize>().expect("array index")],
+        other => panic!("cannot index {other:?} with {key}"),
+    })
+}
+
+/// Every gate can fail: perturbing one gated field of each committed
+/// artifact makes `check` reject the document with a failure naming that
+/// field.
+#[test]
+fn each_gate_rejects_a_perturbed_artifact() {
+    let cases: &[(&str, &[&str], Value, &str)] = &[
+        ("comm", &["a_inter_reduction"], Value::Num(1.5), "a_inter_reduction"),
+        ("comm", &["recv_msgs"], Value::Num(1.0), "messages"),
+        ("comm", &["faulted_max_diff"], Value::Num(1e-3), "faulted_max_diff"),
+        ("comm", &["effective_gbps"], Value::Num(30.0), "effective_gbps"),
+        ("comm", &["sweep", "0", "tree_inter_bytes"], Value::Num(1e18), "sweep[0]"),
+        ("service", &["b_gen_reduction"], Value::Num(4.9), "b_gen_reduction"),
+        ("service", &["warm_plan_hits"], Value::Num(1.0), "warm_plan_hits"),
+        ("service", &["requests_failed"], Value::Num(1.0), "requests_failed"),
+        ("service", &["trace_violations"], Value::Num(1.0), "trace_violations"),
+        ("einsum", &["abcd", "bit_diff"], Value::Num(1e-3), "bit_diff"),
+        ("einsum", &["chain", "terms"], Value::Num(3.0), "terms"),
+        ("lowrank", &["compression_ratio"], Value::Num(1.9), "compression_ratio"),
+        ("lowrank", &["worst_tile_relative_error"], Value::Num(1.0), "worst_tile_relative_error"),
+        ("lowrank", &["max_stressor_diff"], Value::Num(1e-12), "max_stressor_diff"),
+        ("kernels", &["shapes", "0", "gflops", "simd"], Value::Num(0.0), "gflops.simd"),
+        ("kernels", &["shapes", "0", "max_naive_diff"], Value::Num(1e-3), "max_naive_diff"),
+        ("net", &["kill_attempts"], Value::Num(3.0), "kill_attempts"),
+        ("net", &["legs", "3", "recovered_dead"], Value::Null, "recovered_dead"),
+        ("net", &["legs", "1", "recv_frames"], Value::Num(0.0), "recv_frames"),
+    ];
+    for (stem, path, bad, field) in cases {
+        let mut doc = load(&results_dir().join(format!("BENCH_{stem}.json")));
+        assert_eq!(gates::check(stem, &doc), Vec::<String>::new(), "{stem}: committed doc fails");
+        *at(&mut doc, path) = bad.clone();
+        let errors = gates::check(stem, &doc);
+        assert!(
+            errors.iter().any(|e| e.contains(field)),
+            "{stem}: setting {path:?} to {bad:?} gave {errors:?}, none naming {field}"
+        );
+    }
+
+    // Removing a leg is a structural failure of its own.
+    let mut net = load(&results_dir().join("BENCH_net.json"));
+    if let Value::Arr(legs) = at(&mut net, &["legs"]) {
+        legs.pop();
+    }
+    assert!(gates::check("net", &net).iter().any(|e| e.starts_with("legs:")));
+
+    // A CI copy resolves to the same gate as the committed artifact.
+    for stem in gates::artifacts() {
+        assert_eq!(gates::stem(&format!("BENCH_{stem}_ci.json")), Some(stem));
+        assert_eq!(gates::stem(&format!("BENCH_{stem}.json")), Some(stem));
+    }
+    assert_eq!(gates::stem("fig2.csv"), None);
+    assert!(!gates::check("nonesuch", &Value::Null).is_empty());
 }

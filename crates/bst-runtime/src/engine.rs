@@ -3,21 +3,22 @@
 //! Historically [`TaskGraph`] grew six `execute*` entry points — the
 //! cartesian product of {plain, traced} × {infallible, fallible} × {own
 //! clock, caller clock} — each a hand-written copy of the same scheduler
-//! loop. [`Engine::run`] replaces all of them with **one** scheduler generic
-//! over three orthogonal policy objects:
+//! loop. [`Engine::run`] replaces all of them with **one** scheduler,
+//! configured by three orthogonal settings:
 //!
 //! * [`Tracer`] — whether task life-cycle events are recorded
 //!   ([`NoTracer`] / [`Recorder`]); a compile-time choice, so the untraced
 //!   path monomorphizes the recording away entirely;
-//! * [`Clock`] — the timestamp source ([`TraceClock`] by default; a
-//!   caller-supplied epoch lets handlers timestamp their own side channels
-//!   — e.g. device-memory occupancy samples — on the engine's timeline);
-//! * [`RetryPolicy`] — per-task attempt budget and backoff applied to
-//!   [`TaskError::Transient`] handler failures ([`RetryOptions`] is the
-//!   canonical implementation; [`RetryOptions::none`] makes every transient
-//!   error terminal, which is how [`infallible`] handlers run).
+//! * the [`TraceClock`] that timestamps every event (started at
+//!   construction by default; a caller-supplied epoch lets handlers
+//!   timestamp their own side channels — e.g. device-memory occupancy
+//!   samples — on the engine's timeline);
+//! * the [`RetryPolicy`] — per-task attempt budget and backoff applied to
+//!   [`TaskError::Transient`] handler failures ([`RetryPolicy::none`] makes
+//!   every transient error terminal, which is how [`infallible`] handlers
+//!   run).
 //!
-//! Policies compose instead of multiplying entry points: tracing × faults ×
+//! Settings compose instead of multiplying entry points: tracing × faults ×
 //! virtual time are picked independently with [`Engine::tracing`],
 //! [`Engine::with_clock`] and [`Engine::with_retry`], and every combination
 //! reaches the same scheduler body. (The former `TaskGraph::execute*`
@@ -38,7 +39,7 @@
 //! and surfaces as a [`RunAbort`]. Handler panics propagate after poisoning
 //! the queues so no sibling worker deadlocks.
 
-use crate::graph::{FallibleRun, RetryOptions, RunAbort, TaskError, TaskGraph, TaskId, WorkerId};
+use crate::graph::{FallibleRun, RetryPolicy, RunAbort, TaskError, TaskGraph, TaskId, WorkerId};
 use crate::trace::{ExecTrace, TraceClock, TraceEvent, TracePhase, WorkerTrace};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::convert::Infallible;
@@ -76,38 +77,6 @@ impl Tracer for Recorder {
     const ENABLED: bool = true;
 }
 
-/// Clock policy: the engine's timestamp source. All trace timestamps are
-/// nanoseconds from this clock.
-pub trait Clock: Copy + Send + Sync {
-    /// Nanoseconds since this clock's epoch.
-    fn now_ns(&self) -> u64;
-}
-
-impl Clock for TraceClock {
-    fn now_ns(&self) -> u64 {
-        TraceClock::now_ns(self)
-    }
-}
-
-/// Retry policy: how many attempts each task gets and how long its worker
-/// backs off between them. [`RetryOptions`] is the canonical implementation.
-pub trait RetryPolicy: Copy + Send + Sync {
-    /// Maximum handler attempts per task (≥ 1; 0 is treated as 1).
-    fn budget(&self) -> u32;
-    /// Backoff after failed attempt number `attempt` (1-based), µs.
-    fn backoff_us(&self, attempt: u32) -> u64;
-}
-
-impl RetryPolicy for RetryOptions {
-    fn budget(&self) -> u32 {
-        self.budget
-    }
-
-    fn backoff_us(&self, attempt: u32) -> u64 {
-        RetryOptions::backoff_us(self, attempt)
-    }
-}
-
 /// The policy-driven task-DAG execution engine — see the [module
 /// docs](self) for what each policy controls.
 ///
@@ -116,14 +85,14 @@ impl RetryPolicy for RetryOptions {
 ///
 /// ```
 /// use bst_runtime::engine::Engine;
-/// use bst_runtime::graph::{RetryOptions, TaskGraph, TaskError, WorkerId};
+/// use bst_runtime::graph::{RetryPolicy, TaskGraph, TaskError, WorkerId};
 ///
 /// let mut g: TaskGraph<u32> = TaskGraph::new();
 /// let w = WorkerId { node: 0, lane: 0 };
 /// g.add_task(7, w);
 /// let run = Engine::new()
 ///     .tracing()
-///     .with_retry(RetryOptions::default())
+///     .with_retry(RetryPolicy::default())
 ///     .run(&g, &[w], |_| (), |&v, _, _, _| {
 ///         assert_eq!(v, 7);
 ///         Ok::<(), TaskError<String>>(())
@@ -132,10 +101,10 @@ impl RetryPolicy for RetryOptions {
 /// assert!(run.trace.is_some());
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct Engine<T = NoTracer, C = TraceClock, R = RetryOptions> {
+pub struct Engine<T = NoTracer> {
     tracer: T,
-    clock: C,
-    retry: R,
+    clock: TraceClock,
+    retry: RetryPolicy,
 }
 
 impl Engine {
@@ -145,7 +114,7 @@ impl Engine {
         Self {
             tracer: NoTracer,
             clock: TraceClock::start(),
-            retry: RetryOptions::none(),
+            retry: RetryPolicy::none(),
         }
     }
 }
@@ -156,31 +125,31 @@ impl Default for Engine {
     }
 }
 
-impl<T, C, R> Engine<T, C, R> {
+impl<T> Engine<T> {
     /// This engine with life-cycle recording on ([`Recorder`]);
     /// [`FallibleRun::trace`] will be `Some`.
-    pub fn tracing(self) -> Engine<Recorder, C, R> {
+    pub fn tracing(self) -> Engine<Recorder> {
         self.with_tracer(Recorder)
     }
 
     /// This engine with tracing policy `tracer`.
-    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Engine<T2, C, R> {
+    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Engine<T2> {
         Engine { tracer, clock: self.clock, retry: self.retry }
     }
 
     /// This engine timestamping from `clock` — lets the caller share one
     /// epoch between the engine and its handlers' side channels.
-    pub fn with_clock<C2: Clock>(self, clock: C2) -> Engine<T, C2, R> {
+    pub fn with_clock(self, clock: TraceClock) -> Self {
         Engine { tracer: self.tracer, clock, retry: self.retry }
     }
 
     /// This engine retrying transient failures under `retry`.
-    pub fn with_retry<R2: RetryPolicy>(self, retry: R2) -> Engine<T, C, R2> {
+    pub fn with_retry(self, retry: RetryPolicy) -> Self {
         Engine { tracer: self.tracer, clock: self.clock, retry }
     }
 }
 
-impl<T: Tracer, C: Clock, R: RetryPolicy> Engine<T, C, R> {
+impl<T: Tracer> Engine<T> {
     /// Executes `graph` to completion under this engine's policies.
     ///
     /// * `workers` — every lane that tasks are pinned to (a task pinned to a
@@ -244,7 +213,7 @@ impl<T: Tracer, C: Clock, R: RetryPolicy> Engine<T, C, R> {
         let channels: Vec<(Sender<TaskId>, Receiver<TaskId>)> =
             (0..sorted.len()).map(|_| unbounded()).collect();
         let remaining = AtomicUsize::new(graph.len());
-        let budget = self.retry.budget().max(1);
+        let budget = self.retry.budget.max(1);
         let retry = self.retry;
         let attempts: Vec<AtomicU32> = (0..graph.len()).map(|_| AtomicU32::new(0)).collect();
         // First fatal / budget-exhausting error wins; later ones (from
@@ -511,7 +480,7 @@ mod tests {
         let g = diamond();
         let run = Engine::new()
             .tracing()
-            .with_retry(RetryOptions { budget: 4, backoff_base_us: 1, backoff_max_us: 5 })
+            .with_retry(RetryPolicy { budget: 4, backoff_base_us: 1, backoff_max_us: 5 })
             .run(&g, &[w(0, 0), w(0, 1), w(1, 0)], |_| (), |&v, _, _, attempt| {
                 if v == 1 && attempt <= 2 {
                     return Err(TaskError::Transient("flaky"));
@@ -536,7 +505,7 @@ mod tests {
                 }
                 Ok(())
             })
-            .expect_err("RetryOptions::none() gives one attempt");
+            .expect_err("RetryPolicy::none() gives one attempt");
         assert_eq!(abort.attempts, 1);
         assert!(abort.budget_exhausted);
         assert_eq!(abort.error, "down");

@@ -32,11 +32,11 @@ pub struct WorkerId {
 /// Identifier of a task within its graph.
 pub type TaskId = usize;
 
-/// Retry options for the engine's
-/// [`RetryPolicy`](crate::engine::RetryPolicy): how many attempts each
-/// task gets and how long the worker backs off between them.
+/// The engine's retry policy: how many attempts each task gets and how long
+/// the worker backs off between them. `bst_contract` re-exports this type
+/// as its executor's retry policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryOptions {
+pub struct RetryPolicy {
     /// Maximum handler attempts per task (≥ 1; a value of 0 is treated as
     /// 1). The first attempt counts, so `budget = 4` allows 3 retries.
     pub budget: u32,
@@ -47,13 +47,13 @@ pub struct RetryOptions {
     pub backoff_max_us: u64,
 }
 
-impl Default for RetryOptions {
+impl Default for RetryPolicy {
     fn default() -> Self {
         Self { budget: 4, backoff_base_us: 20, backoff_max_us: 500 }
     }
 }
 
-impl RetryOptions {
+impl RetryPolicy {
     /// No retries: every transient error is terminal.
     pub fn none() -> Self {
         Self { budget: 1, backoff_base_us: 0, backoff_max_us: 0 }
@@ -435,7 +435,7 @@ mod tests {
         let order = Mutex::new(Vec::new());
         let run = Engine::new()
             .tracing()
-            .with_retry(RetryOptions { budget: 4, backoff_base_us: 1, backoff_max_us: 10 })
+            .with_retry(RetryPolicy { budget: 4, backoff_base_us: 1, backoff_max_us: 10 })
             .run(
                 &g,
                 &[w(0, 0), w(0, 1), w(1, 0)],
@@ -469,7 +469,7 @@ mod tests {
         let b = g.add_task(8, w(1, 0));
         g.add_dep(b, a);
         let abort = Engine::new()
-            .with_retry(RetryOptions { budget: 3, backoff_base_us: 1, backoff_max_us: 2 })
+            .with_retry(RetryPolicy { budget: 3, backoff_base_us: 1, backoff_max_us: 2 })
             .run(
                 &g,
                 &[w(0, 0), w(1, 0)],
@@ -491,7 +491,7 @@ mod tests {
         let b = g.add_task(2, w(1, 0));
         g.add_dep(b, a);
         let abort = Engine::new()
-            .with_retry(RetryOptions::default())
+            .with_retry(RetryPolicy::default())
             .run(
                 &g,
                 &[w(0, 0), w(1, 0)],
@@ -506,7 +506,7 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let r = RetryOptions { budget: 8, backoff_base_us: 10, backoff_max_us: 65 };
+        let r = RetryPolicy { budget: 8, backoff_base_us: 10, backoff_max_us: 65 };
         assert_eq!(r.backoff_us(1), 10);
         assert_eq!(r.backoff_us(2), 20);
         assert_eq!(r.backoff_us(3), 40);

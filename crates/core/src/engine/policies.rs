@@ -5,8 +5,9 @@
 //! policy all compose here and reach one execution path
 //! (`crate::engine::run`), never separate entry points.
 
-use crate::fault::{FaultPlan, RetryPolicy};
+use crate::fault::FaultPlan;
 use bst_runtime::comm::{DeliveryPolicy, LinkShaper, DEFAULT_CREDIT_WINDOW};
+use bst_runtime::graph::RetryPolicy;
 
 /// Which communication primitives the lowering emits for A broadcasts and
 /// C reductions.

@@ -55,13 +55,14 @@ pub use exec::{
     ExecTraceData, KernelSelect, RecoveryStats,
 };
 pub use engine::report::BCacheRunStats;
-pub use fault::{FaultPlan, FaultSite, RetryPolicy};
+pub use fault::{FaultPlan, FaultSite};
 pub use plan::{ExecutionPlan, PlanStats};
 pub use service::{
     ContractionRequest, ContractionService, PendingContraction, RequestOutcome, RequestStats,
     ServiceBGen, ServiceConfig, ServiceStats,
 };
 pub use spec::ProblemSpec;
-// The transport knob types [`ExecOptions`] carries, so callers configuring a
-// run don't need a direct `bst-runtime` dependency.
+// The transport and retry knob types [`ExecOptions`] carries, so callers
+// configuring a run don't need a direct `bst-runtime` dependency.
 pub use bst_runtime::comm::{DeliveryPolicy, LinkClass, LinkShaper, NodeCommStats, Topology};
+pub use bst_runtime::graph::RetryPolicy;

@@ -50,10 +50,12 @@ impl Wire for MeshWire {
     }
 }
 
+/// One rank's inbound queue: `None` closes it.
+type Queue = (Sender<Option<WireFrame>>, Receiver<Option<WireFrame>>);
+
 /// A fully-connected mesh of `n` wires.
 fn mesh(n: usize) -> Vec<Arc<MeshWire>> {
-    let endpoints: Vec<(Sender<Option<WireFrame>>, Receiver<Option<WireFrame>>)> =
-        (0..n).map(|_| channel()).collect();
+    let endpoints: Vec<Queue> = (0..n).map(|_| channel()).collect();
     let senders: Vec<Sender<Option<WireFrame>>> =
         endpoints.iter().map(|(tx, _)| tx.clone()).collect();
     endpoints
@@ -106,7 +108,7 @@ fn run_mesh(
             .enumerate()
             .map(|(rank, wire)| {
                 let wire: Arc<dyn Wire> = Arc::clone(wire) as Arc<dyn Wire>;
-                let (a, b_gen, opts) = (&a, &b_gen, opts.clone());
+                let (a, b_gen, opts) = (&a, &b_gen, *opts);
                 s.spawn(move || {
                     execute_numeric_distributed(spec, plan, a, b_gen, opts, rank, wire)
                         .expect("rank failed")
@@ -133,7 +135,7 @@ fn mesh_run_is_bit_identical_to_single_process() {
     let b_gen = bst_sparse::matrix::random_b_gen(42 ^ 0xB);
     let opts = ExecOptions::builder().build();
     let (c_ref, _) =
-        execute_numeric_with(&spec, &plan, &a, &b_gen, opts.clone()).expect("reference");
+        execute_numeric_with(&spec, &plan, &a, &b_gen, opts).expect("reference");
 
     let c = run_mesh(&spec, &plan, nodes, &opts);
     assert_eq!(c.max_abs_diff(&c_ref), 0.0, "mesh run diverged");
